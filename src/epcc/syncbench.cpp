@@ -1,5 +1,7 @@
 #include "epcc/syncbench.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 
@@ -207,18 +209,32 @@ std::vector<RelativeOverhead> relative_overheads(
   std::vector<RelativeOverhead> out;
   for (Directive d : kAllDirectives) {
     for (unsigned n : thread_counts) {
-      // Interleave the two runtimes per cell so host noise hits both.
-      Measurement mn = bench_native.measure(d, n);
-      Measurement mm = bench_mca.measure(d, n);
-      double denom = mn.overhead_us;
-      double num = mm.overhead_us;
-      // Guard tiny/negative overheads (timer noise): fall back to the mean
-      // construct times, whose ratio is the same signal with less variance.
-      if (denom <= 0 || num <= 0) {
-        denom = mn.mean_us;
-        num = mm.mean_us;
+      // Interleave the two runtimes per round so host noise hits both, and
+      // keep the median-ratio round of three: a burst of host noise that
+      // slows one measurement cannot decide the cell on its own.
+      std::array<RelativeOverhead, 3> rounds{};
+      for (RelativeOverhead& r : rounds) {
+        Measurement mn = bench_native.measure(d, n);
+        Measurement mm = bench_mca.measure(d, n);
+        double denom = mn.overhead_us;
+        double num = mm.overhead_us;
+        // Guard overheads lost in timer noise (negative, or a native
+        // overhead within its own standard deviation): fall back to the
+        // mean construct times, whose ratio is the same signal with less
+        // variance.
+        if (denom <= 0 || denom < mn.sd_us || num <= 0) {
+          denom = mn.mean_us;
+          num = mm.mean_us;
+        }
+        r = {d, n, denom > 0 ? num / denom : 1.0, mn, mm};
       }
-      out.push_back({d, n, denom > 0 ? num / denom : 1.0, mn, mm});
+      auto by_ratio = [](const RelativeOverhead& a,
+                         const RelativeOverhead& b) {
+        return a.ratio < b.ratio;
+      };
+      std::nth_element(rounds.begin(), rounds.begin() + 1, rounds.end(),
+                       by_ratio);
+      out.push_back(rounds[1]);
     }
   }
   return out;

@@ -92,7 +92,8 @@ struct RelativeOverhead {
   Measurement mca;
 };
 
-/// Builds Table I from two runtimes measured under identical options.
+/// Builds Table I from two runtimes measured under identical options.  Each
+/// cell is the median-ratio round of three interleaved native/MCA rounds.
 std::vector<RelativeOverhead> relative_overheads(
     gomp::Runtime* native, gomp::Runtime* mca,
     const std::vector<unsigned>& thread_counts,

@@ -7,10 +7,12 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "gomp/backend.hpp"
 #include "gomp/pool.hpp"
@@ -115,7 +117,14 @@ class Runtime {
   // --- services used by ParallelContext ------------------------------------------
   /// Mutex backing critical(@p name); created through the backend on first
   /// use (Listing 4's gomp_mutex path).
-  BackendMutex& critical_mutex(const std::string& name);
+  BackendMutex& critical_mutex(std::string_view name);
+
+  /// critical_mutex(""), the unnamed critical's mutex, without the registry
+  /// lock and lookup after the first call.
+  BackendMutex& unnamed_critical() {
+    BackendMutex* mu = unnamed_critical_.load(std::memory_order_acquire);
+    return mu != nullptr ? *mu : publish_unnamed_critical();
+  }
 
   /// The calling thread's innermost ParallelContext, or nullptr outside any
   /// region (this is what the omp_* shims in api.hpp read).
@@ -152,8 +161,11 @@ class Runtime {
   std::unique_ptr<ThreadPool> pool_;
 
   CapMutex critical_mu_;
-  std::map<std::string, std::unique_ptr<BackendMutex>> criticals_
-      OMPMCA_GUARDED_BY(critical_mu_);
+  std::map<std::string, std::unique_ptr<BackendMutex>, std::less<>>
+      criticals_ OMPMCA_GUARDED_BY(critical_mu_);
+  /// criticals_[""] once created; the entry lives as long as the runtime.
+  std::atomic<BackendMutex*> unnamed_critical_{nullptr};
+  BackendMutex& publish_unnamed_critical();
 
   CapMutex nested_ids_mu_;
   std::vector<unsigned> free_nested_ids_ OMPMCA_GUARDED_BY(nested_ids_mu_);

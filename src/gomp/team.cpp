@@ -410,12 +410,17 @@ void ParallelContext::master(FunctionRef<void()> fn) {
 }
 
 void ParallelContext::critical(FunctionRef<void()> fn) {
-  critical("", fn);
+  critical_on(team_->rt_.unnamed_critical(), "", fn);
 }
 
 void ParallelContext::critical(std::string_view name,
                                FunctionRef<void()> fn) {
-  BackendMutex& mu = team_->rt_.critical_mutex(std::string(name));
+  critical_on(team_->rt_.critical_mutex(name), name, fn);
+}
+
+void ParallelContext::critical_on(BackendMutex& mu,
+                                  [[maybe_unused]] std::string_view name,
+                                  FunctionRef<void()> fn) {
   obs::trace::Span span(obs::trace::Type::kCritical);  // acquire + body
   if (obs::enabled()) {
     obs::count(obs::Counter::kGompCritical);

@@ -37,6 +37,7 @@
 
 namespace ompmca::gomp {
 
+class BackendMutex;
 class Runtime;
 class Team;
 
@@ -171,6 +172,10 @@ class ParallelContext {
 
  private:
   friend class Team;
+  /// One critical construct on @p mu; @p name keys the checker's order graph.
+  void critical_on(BackendMutex& mu, std::string_view name,
+                   FunctionRef<void()> fn);
+
   Team* team_ = nullptr;
   unsigned tid_ = 0;
   unsigned long loop_gen_ = 0;

@@ -141,6 +141,11 @@ std::uint32_t Rwlock::readers() const {
   return active_readers_;
 }
 
+std::uint32_t Rwlock::waiting_writers() const {
+  MutexLock lk(mu_);
+  return waiting_writers_;
+}
+
 bool Rwlock::write_locked() const {
   MutexLock lk(mu_);
   return writer_active_;

@@ -37,6 +37,8 @@ class Rwlock {
   bool retired() const OMPMCA_EXCLUDES(mu_);
 
   std::uint32_t readers() const OMPMCA_EXCLUDES(mu_);
+  /// Observational only: writers currently queued in lock_write.
+  std::uint32_t waiting_writers() const OMPMCA_EXCLUDES(mu_);
   bool write_locked() const OMPMCA_EXCLUDES(mu_);
 
  private:

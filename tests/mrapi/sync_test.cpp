@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -110,6 +116,193 @@ TEST(Mutex, MutualExclusionStress) {
   EXPECT_EQ(counter, kThreads * kIters);
 }
 
+/// Aborts the test binary with a message if it outlives @p limit: a lost
+/// wakeup shows up as a named failure instead of a hung ctest.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> lk(mu_);
+          if (!cv_.wait_for(lk, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: stuck for %llds (lost wakeup?)\n",
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts once the members it reads exist
+};
+
+void wait_for_waiter(const Mutex& m) {
+  while (!m.has_waiters()) std::this_thread::yield();
+}
+
+TEST(Mutex, RetireWakesParkedWaiters) {
+  Watchdog dog(std::chrono::seconds(60));
+  // The unlock wakes one parked waiter; retire() must wake the other.  A
+  // waiter that wins the mutex keeps it until the round ends, so retire()
+  // either runs first (both waiters fail) or correctly refuses with
+  // kMutexLocked (both succeed in turn); the latter repeats the round.
+  bool retired_under_waiters = false;
+  for (int round = 0; round < 50 && !retired_under_waiters; ++round) {
+    Mutex m;
+    LockKey key;
+    ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+    std::atomic<bool> round_over{false};
+    std::array<Status, 2> got{Status::kSuccess, Status::kSuccess};
+    std::vector<std::thread> waiters;
+    for (Status& st : got) {
+      waiters.emplace_back([&m, &st, &round_over] {
+        LockKey k;
+        st = m.lock(kTimeoutInfinite, &k);
+        if (ok(st)) {
+          while (!round_over.load()) std::this_thread::yield();
+          EXPECT_EQ(m.unlock(k), Status::kSuccess);
+        }
+      });
+    }
+    wait_for_waiter(m);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(m.unlock(key), Status::kSuccess);
+    const Status r = m.retire();
+    round_over.store(true);
+    for (auto& t : waiters) t.join();
+    if (r == Status::kSuccess) {
+      retired_under_waiters = true;
+      EXPECT_TRUE(m.retired());
+      EXPECT_EQ(got[0], Status::kMutexIdInvalid);
+      EXPECT_EQ(got[1], Status::kMutexIdInvalid);
+    } else {
+      EXPECT_EQ(r, Status::kMutexLocked);
+      EXPECT_EQ(got[0], Status::kSuccess);
+      EXPECT_EQ(got[1], Status::kSuccess);
+    }
+  }
+  EXPECT_TRUE(retired_under_waiters);
+}
+
+TEST(Mutex, TimeoutAgainstOtherThreadThenAcquirable) {
+  Mutex m;
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    LockKey k;
+    EXPECT_EQ(m.lock(kTimeoutInfinite, &k), Status::kSuccess);
+    held.store(true);
+    while (!release.load()) std::this_thread::yield();
+    EXPECT_EQ(m.unlock(k), Status::kSuccess);
+  });
+  while (!held.load()) std::this_thread::yield();
+  LockKey key;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(m.lock(30, &key), Status::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(30));
+  EXPECT_TRUE(m.locked());
+  release.store(true);
+  // The timed-out waiter left the word marked; the release still frees it.
+  ASSERT_EQ(m.lock(5000, &key), Status::kSuccess);
+  EXPECT_EQ(key.value, 1u);
+  EXPECT_EQ(m.unlock(key), Status::kSuccess);
+  holder.join();
+  EXPECT_FALSE(m.locked());
+}
+
+TEST(Mutex, RecursiveKeysWhileAnotherThreadIsParked) {
+  Mutex m(MutexAttributes{.recursive = true});
+  LockKey k1, k2;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &k1), Status::kSuccess);
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &k2), Status::kSuccess);
+  std::atomic<bool> acquired{false};
+  std::thread waiter([&] {
+    LockKey k;
+    EXPECT_EQ(m.lock(kTimeoutInfinite, &k), Status::kSuccess);
+    EXPECT_EQ(k.value, 1u);  // a fresh outermost acquisition
+    acquired.store(true);
+    EXPECT_EQ(m.unlock(k), Status::kSuccess);
+  });
+  wait_for_waiter(m);
+  EXPECT_EQ(m.unlock(k1), Status::kMutexKeyInvalid);  // out of order
+  LockKey k3;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &k3), Status::kSuccess);
+  EXPECT_EQ(k3.value, 3u);
+  EXPECT_EQ(m.unlock(k3), Status::kSuccess);
+  EXPECT_EQ(m.unlock(k2), Status::kSuccess);
+  // Still held at depth 1: the waiter stays parked.
+  EXPECT_FALSE(acquired.load());
+  EXPECT_TRUE(m.has_waiters());
+  EXPECT_EQ(m.unlock(k1), Status::kSuccess);
+  waiter.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_FALSE(m.locked());
+}
+
+TEST(Mutex, NonOwnerUnlockLeavesParkedStateIntact) {
+  Mutex m;
+  LockKey key;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+  std::thread waiter([&m] {
+    LockKey k;
+    EXPECT_EQ(m.lock(kTimeoutInfinite, &k), Status::kSuccess);
+    EXPECT_EQ(m.unlock(k), Status::kSuccess);
+  });
+  wait_for_waiter(m);
+  std::thread intruder([&m] {
+    EXPECT_EQ(m.unlock(LockKey{1}), Status::kMutexKeyInvalid);
+  });
+  intruder.join();
+  EXPECT_TRUE(m.locked());
+  EXPECT_TRUE(m.has_waiters());
+  EXPECT_EQ(m.unlock(key), Status::kSuccess);
+  waiter.join();
+  EXPECT_FALSE(m.locked());
+}
+
+TEST(Mutex, NoLostWakeupUnderContention) {
+  // Empty critical sections maximise the unlock/park races a lost wakeup
+  // needs; a missed wake hangs a thread, which the watchdog turns into a
+  // failure.
+  Watchdog dog(std::chrono::seconds(240));
+  Mutex m;
+  long counter = 0;
+  constexpr int kThreads = 4;
+  constexpr long kIters = 200'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (long i = 0; i < kIters; ++i) {
+        LockKey key;
+        if (!ok(m.lock(kTimeoutInfinite, &key))) {
+          ADD_FAILURE() << "lock failed";
+          return;
+        }
+        ++counter;  // data race iff the mutex is broken
+        if (!ok(m.unlock(key))) {
+          ADD_FAILURE() << "unlock failed";
+          return;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counter, kThreads * kIters);
+  EXPECT_FALSE(m.locked());
+}
+
 // --- Semaphore ----------------------------------------------------------------
 
 TEST(Semaphore, CountsDownAndUp) {
@@ -216,10 +409,10 @@ TEST(Rwlock, WriterNotStarvedByReaderStream) {
     writer_done.store(true);
     (void)rw.unlock_write();
   });
-  // Give the writer time to queue, then try to read: must be refused
+  // Wait until the writer has queued, then try to read: must be refused
   // (writer preference) while a writer waits.
+  while (rw.waiting_writers() == 0) std::this_thread::yield();
   for (int i = 0; i < 100 && !writer_done.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (rw.lock_read(kTimeoutImmediate) == Status::kSuccess) {
       // Only possible once the writer has been served.
       EXPECT_TRUE(writer_done.load());

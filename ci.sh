@@ -25,7 +25,7 @@ cd "$(dirname "$0")"
 
 echo "== [1/14] normal build + ctest =="
 cmake -B build -S . -DOMPMCA_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 # Serial on purpose: epcc_test asserts on measured timings, which parallel
 # test load can flip.
 (cd build && ctest --output-on-failure)
@@ -34,7 +34,7 @@ echo "== [2/14] ThreadSanitizer, all suites =="
 # Race-check everything, not just the gomp hot paths: the MRAPI database,
 # arena and DMA engine carry their own lock-free fast paths.
 cmake -B build-tsan -S . -DOMPMCA_WERROR=ON -DOMPMCA_TSAN=ON
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$(nproc)"
 # epcc_test is excluded: it asserts on measured overhead ratios, and TSan's
 # ~10x slowdown plus its scheduler shifts them past the tolerances.  Every
 # synchronisation path it exercises is already covered by gomp_test and
@@ -48,7 +48,7 @@ echo "hierarchical barrier ablation: clean under TSan"
 
 echo "== [3/14] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 (cd build-asan && ctest --output-on-failure -E '^epcc_test$')
 
 echo "== [4/14] correctness checker (OMPMCA_CHECK=ON), all suites =="
@@ -56,7 +56,7 @@ echo "== [4/14] correctness checker (OMPMCA_CHECK=ON), all suites =="
 # seeds violations and asserts the reports, the rest of the suite doubles
 # as a no-false-positives audit.
 cmake -B build-check -S . -DOMPMCA_WERROR=ON -DOMPMCA_CHECK=ON
-cmake --build build-check -j
+cmake --build build-check -j "$(nproc)"
 (cd build-check && ctest --output-on-failure)
 # Same hierarchical-barrier run under the lockdep/lifecycle hooks.
 OMPMCA_CHECK_ABORT=1 ./build-check/bench/ablation_barriers --quick --kind=hier >/dev/null
@@ -68,7 +68,7 @@ echo "== [5/14] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites 
 # every other build).  The checker rides along so injected failures cannot
 # mask lock-order or lifecycle violations.
 cmake -B build-fault -S . -DOMPMCA_WERROR=ON -DOMPMCA_FAULT=ON -DOMPMCA_CHECK=ON
-cmake --build build-fault -j
+cmake --build build-fault -j "$(nproc)"
 (cd build-fault && ctest --output-on-failure)
 
 echo "== [6/14] clang-tidy =="
@@ -138,7 +138,7 @@ echo "== [11/14] thread-safety analysis build + ompmca-lint =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . -DOMPMCA_WERROR=ON -DOMPMCA_TSA=ON \
     -DCMAKE_CXX_COMPILER=clang++
-  cmake --build build-tsa -j
+  cmake --build build-tsa -j "$(nproc)"
   echo "thread-safety analysis: clean"
 else
   echo "clang++ not installed; skipping thread-safety analysis build"

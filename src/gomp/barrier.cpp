@@ -14,8 +14,6 @@ namespace ompmca::gomp {
 std::string_view to_string(BarrierKind k) {
   switch (k) {
     case BarrierKind::kCentral: return "central";
-    case BarrierKind::kTree: return "tree";
-    case BarrierKind::kDissemination: return "dissemination";
     case BarrierKind::kHierarchical: return "hierarchical";
     case BarrierKind::kAuto: return "auto";
   }
@@ -24,8 +22,6 @@ std::string_view to_string(BarrierKind k) {
 
 bool parse_barrier_kind(std::string_view text, BarrierKind* out) {
   if (text == "central") *out = BarrierKind::kCentral;
-  else if (text == "tree") *out = BarrierKind::kTree;
-  else if (text == "dissemination") *out = BarrierKind::kDissemination;
   else if (text == "hier" || text == "hierarchical")
     *out = BarrierKind::kHierarchical;
   else if (text == "auto") *out = BarrierKind::kAuto;
@@ -33,26 +29,14 @@ bool parse_barrier_kind(std::string_view text, BarrierKind* out) {
   return true;
 }
 
-BarrierKind effective_barrier_kind(BarrierKind kind, WaitPolicy policy,
+BarrierKind effective_barrier_kind(BarrierKind kind,
                                    unsigned clusters_spanned) {
-  if (kind == BarrierKind::kAuto) {
-    kind = clusters_spanned > 1 ? BarrierKind::kHierarchical
-                                : BarrierKind::kCentral;
+  // One cluster means no CoreNet hop to save: the central barrier is the
+  // hierarchical one's single cluster tier without the top tier.
+  if (kind == BarrierKind::kCentral || clusters_spanned <= 1) {
+    return BarrierKind::kCentral;
   }
-  if (kind == BarrierKind::kHierarchical && clusters_spanned <= 1) {
-    // Degenerate: one cluster means no CoreNet hop to save; the flat
-    // arity-4 tree is the same intra-cluster combining structure without
-    // the top tier.
-    return BarrierKind::kTree;
-  }
-  if (kind == BarrierKind::kDissemination && policy == WaitPolicy::kPassive) {
-    return BarrierKind::kTree;
-  }
-  return kind;
-}
-
-BarrierKind effective_barrier_kind(BarrierKind kind, WaitPolicy policy) {
-  return effective_barrier_kind(kind, policy, /*clusters_spanned=*/1);
+  return BarrierKind::kHierarchical;
 }
 
 namespace {
@@ -81,20 +65,11 @@ std::unique_ptr<TeamBarrier> make_barrier(BarrierKind kind, unsigned nthreads,
                                           const unsigned* cluster_of_thread,
                                           ClusterMemory* mem) {
   const unsigned spanned = clusters_spanned_by(cluster_of_thread, nthreads);
-  switch (effective_barrier_kind(kind, policy, spanned)) {
-    case BarrierKind::kCentral:
-      return std::make_unique<CentralBarrier>(nthreads, policy);
-    case BarrierKind::kTree:
-      return std::make_unique<TreeBarrier>(nthreads, policy);
-    case BarrierKind::kDissemination:
-      return std::make_unique<DisseminationBarrier>(nthreads);
-    case BarrierKind::kHierarchical:
-      return std::make_unique<HierarchicalBarrier>(nthreads, policy,
-                                                   cluster_of_thread, mem);
-    case BarrierKind::kAuto:
-      break;  // resolved above; unreachable
+  if (effective_barrier_kind(kind, spanned) == BarrierKind::kCentral) {
+    return std::make_unique<CentralBarrier>(nthreads, policy);
   }
-  return nullptr;
+  return std::make_unique<HierarchicalBarrier>(nthreads, policy,
+                                               cluster_of_thread, mem);
 }
 
 std::unique_ptr<TeamBarrier> make_barrier(BarrierKind kind, unsigned nthreads,
@@ -118,93 +93,6 @@ void CentralBarrier::arrive_and_wait(unsigned /*tid*/) {
       {
         // The store must happen under the mutex or a waiter could check the
         // predicate between its load and its sleep and miss the notify.
-        MutexLock lk(mu_);
-        sense_.store(my_sense, std::memory_order_release);
-      }
-      cv_.notify_all();
-    } else {
-      sense_.store(my_sense, std::memory_order_release);
-    }
-    return;
-  }
-  if (policy_ == WaitPolicy::kPassive) {
-    MutexLock lk(mu_);
-    lk.wait(cv_, [&] {
-      return sense_.load(std::memory_order_acquire) == my_sense;
-    });
-  } else {
-    Backoff backoff;
-    while (sense_.load(std::memory_order_acquire) != my_sense)
-      backoff.pause();
-  }
-}
-
-// --- TreeBarrier -------------------------------------------------------------
-
-TreeBarrier::TreeBarrier(unsigned nthreads, WaitPolicy policy)
-    : n_(nthreads), policy_(policy) {
-  assert(nthreads >= 1);
-  // Build leaves over groups of kArity threads, then combine upward.
-  unsigned num_leaves = (n_ + kArity - 1) / kArity;
-  leaf_of_thread_.resize(n_);
-
-  // Level sizes, bottom-up.
-  std::vector<unsigned> level_size;
-  unsigned level = num_leaves;
-  for (;;) {
-    level_size.push_back(level);
-    if (level == 1) break;
-    level = (level + kArity - 1) / kArity;
-  }
-  unsigned total = 0;
-  for (unsigned s : level_size) total += s;
-  nodes_ = std::make_unique<Padded<TreeNode>[]>(total);
-
-  // Node layout: leaves first, then each parent level.
-  std::vector<unsigned> level_base(level_size.size());
-  unsigned base = 0;
-  for (std::size_t l = 0; l < level_size.size(); ++l) {
-    level_base[l] = base;
-    base += level_size[l];
-  }
-  // Leaf expected counts: the threads mapped to it.
-  for (unsigned t = 0; t < n_; ++t) {
-    unsigned leaf = t / kArity;
-    leaf_of_thread_[t] = leaf;
-    ++nodes_[leaf]->expected;
-  }
-  // Internal nodes: children are groups of kArity nodes of the level below.
-  for (std::size_t l = 0; l + 1 < level_size.size(); ++l) {
-    for (unsigned i = 0; i < level_size[l]; ++i) {
-      unsigned parent_index = level_base[l + 1] + i / kArity;
-      nodes_[level_base[l] + i]->parent = static_cast<int>(parent_index);
-      ++nodes_[parent_index]->expected;
-    }
-  }
-}
-
-void TreeBarrier::arrive_and_wait(unsigned tid) {
-  OMPMCA_CHECK_BARRIER_HELD();
-  const bool my_sense = !sense_.load(std::memory_order_relaxed);
-
-  // Climb: the last arriver at each node continues to its parent.
-  int node = static_cast<int>(leaf_of_thread_[tid]);
-  bool winner = true;
-  while (node >= 0 && winner) {
-    TreeNode& tn = *nodes_[static_cast<unsigned>(node)];
-    unsigned arrived = tn.count.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (arrived == tn.expected) {
-      tn.count.store(0, std::memory_order_relaxed);
-      node = tn.parent;
-    } else {
-      winner = false;
-    }
-  }
-
-  if (winner) {
-    // Reached past the root: release everyone.
-    if (policy_ == WaitPolicy::kPassive) {
-      {
         MutexLock lk(mu_);
         sense_.store(my_sense, std::memory_order_release);
       }
@@ -339,41 +227,6 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
     obs::trace::complete(obs::trace::Type::kBarrierTier, t0, /*tier=*/0,
                          cluster_of_group_[g]);
   }
-}
-
-// --- DisseminationBarrier ------------------------------------------------------
-
-DisseminationBarrier::DisseminationBarrier(unsigned nthreads) : n_(nthreads) {
-  assert(nthreads >= 1);
-  rounds_ = 0;
-  while ((1u << rounds_) < n_) ++rounds_;
-  flags_.resize(n_);
-  for (auto& per_thread : flags_) {
-    per_thread.resize(2);
-    for (auto& per_parity : per_thread) {
-      per_parity = std::vector<std::atomic<bool>>(rounds_);
-      for (auto& f : per_parity) f.store(false, std::memory_order_relaxed);
-    }
-  }
-  state_.resize(n_);
-}
-
-void DisseminationBarrier::arrive_and_wait(unsigned tid) {
-  OMPMCA_CHECK_BARRIER_HELD();
-  if (n_ == 1) return;
-  ThreadState& st = *state_[tid];
-  Backoff backoff;
-  for (unsigned r = 0; r < rounds_; ++r) {
-    unsigned partner = (tid + (1u << r)) % n_;
-    flags_[partner][st.parity][r].store(st.sense, std::memory_order_release);
-    while (flags_[tid][st.parity][r].load(std::memory_order_acquire) !=
-           st.sense) {
-      backoff.pause();
-    }
-    backoff.reset();
-  }
-  if (st.parity == 1) st.sense = !st.sense;
-  st.parity ^= 1;
 }
 
 }  // namespace ompmca::gomp

@@ -154,8 +154,7 @@ Runtime::Runtime(RuntimeOptions opts)
   occupancy_ = std::make_unique<platform::ClusterOccupancy>(
       topo.num_clusters(), per_cluster);
   cluster_mem_ = std::make_unique<ClusterSlabCache>(*backend_);
-  pool_ = std::make_unique<ThreadPool>(*backend_, opts_.pool_mode,
-                                       icvs_.wait_policy,
+  pool_ = std::make_unique<ThreadPool>(*backend_, icvs_.wait_policy,
                                        opts_.pool_max_workers);
   // Masters write their dispatch slots every fork; home the slot bank in
   // the primary master's cluster — placement(0) under either policy.

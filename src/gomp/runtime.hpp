@@ -43,7 +43,6 @@ struct RuntimeOptions {
   /// least-loaded) instead of scattering it board-wide.
   /// OMPMCA_NESTED_PLACEMENT=flat|bubble overrides.
   bool nested_bubble = true;
-  PoolMode pool_mode = PoolMode::kPersistent;
   /// Worker-lease capacity of the pool (clamped to ThreadPool::kMaxWorkers).
   /// Small caps make lease pressure deterministic — the concurrent-masters
   /// tests pin this to force width degradation.

@@ -27,9 +27,6 @@ namespace {
 obs::Hist barrier_wait_hist(BarrierKind k) {
   switch (k) {
     case BarrierKind::kCentral: return obs::Hist::kGompBarrierWaitCentralNs;
-    case BarrierKind::kTree: return obs::Hist::kGompBarrierWaitTreeNs;
-    case BarrierKind::kDissemination:
-      return obs::Hist::kGompBarrierWaitDisseminationNs;
     case BarrierKind::kHierarchical:
       return obs::Hist::kGompBarrierWaitHierarchicalNs;
     case BarrierKind::kAuto:
@@ -119,7 +116,7 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
   // shares the data its parent thread already has in that L2 — instead of
   // inheriting the board-wide scatter.  Under scatter even a 4-thread
   // nested team would span all three clusters and pay CoreNet on every
-  // barrier; as a bubble its barrier collapses to the flat in-cluster tree.
+  // barrier; as a bubble its barrier collapses to the central barrier.
   if (parent_ctx_ != nullptr && nthreads_ > 1 && rt.nested_bubble() &&
       topo.num_clusters() > 1) {
     const unsigned per_cluster = topo.num_hw_threads() / topo.num_clusters();
@@ -140,7 +137,6 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
   // Width-1 fast path: nothing to rendezvous, so no barrier object at all —
   // ParallelContext::barrier() degenerates to a task drain.
   barrier_kind_ = effective_barrier_kind(rt.barrier_kind(),
-                                         rt.icvs().wait_policy,
                                          distinct_clusters(cluster_of_thread_));
   if (nthreads_ > 1) {
     barrier_ = make_barrier(rt.barrier_kind(), nthreads_,
@@ -179,7 +175,7 @@ void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
   // the implicit barrier): each spawner drains until the task system is
   // quiescent, and the master cannot pass the join until every thread's
   // drain returned.  The thread rendezvous itself is the fork/join join —
-  // the pool's active_ count, or the thread join for nested/per-region
+  // the pool's active_ count, or the thread join for nested
   // teams.  Workers have nothing to execute after the region, so they
   // signal arrival and park instead of sleeping through a full barrier
   // release broadcast first; the release is observable only by the master,

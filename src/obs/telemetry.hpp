@@ -105,8 +105,6 @@ enum class Hist : unsigned {
   kGompCriticalNs,
   kGompReductionNs,
   kGompBarrierWaitCentralNs,
-  kGompBarrierWaitTreeNs,
-  kGompBarrierWaitDisseminationNs,
   kGompBarrierWaitHierarchicalNs,
   kGompPoolDispatchNs,
   kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body

@@ -321,9 +321,7 @@ std::string_view category_of(Type t) {
 std::string_view barrier_kind_name(std::uint64_t k) {
   switch (k) {
     case 0: return "central";
-    case 1: return "tree";
-    case 2: return "dissemination";
-    case 3: return "hierarchical";
+    case 1: return "hierarchical";
     default: return "?";
   }
 }

@@ -23,8 +23,8 @@ class BarrierParamTest : public ::testing::TestWithParam<BarrierCase> {};
 TEST_P(BarrierParamTest, SeparatesPhases) {
   const BarrierCase c = GetParam();
   // T4240-shaped scatter map: threads round-robin over three clusters.  The
-  // flat kinds ignore it; the hierarchical kind derives its two tiers from
-  // it (and collapses to a tree when the map spans a single cluster).
+  // central kind ignores it; the hierarchical kind derives its two tiers
+  // from it (and collapses to central when the map spans a single cluster).
   std::vector<unsigned> cluster_of_thread(c.nthreads);
   for (unsigned i = 0; i < c.nthreads; ++i) cluster_of_thread[i] = i % 3;
   auto barrier =
@@ -61,8 +61,7 @@ TEST_P(BarrierParamTest, SeparatesPhases) {
 std::vector<BarrierCase> all_cases() {
   std::vector<BarrierCase> cases;
   for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical}) {
+       {BarrierKind::kCentral, BarrierKind::kHierarchical}) {
     for (WaitPolicy policy : {WaitPolicy::kPassive, WaitPolicy::kActive}) {
       for (unsigned n : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 24u}) {
         cases.push_back({kind, policy, n});
@@ -83,8 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Barrier, SingleThreadIsNoOp) {
   for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical}) {
+       {BarrierKind::kCentral, BarrierKind::kHierarchical}) {
     auto b = make_barrier(kind, 1, WaitPolicy::kPassive);
     for (int i = 0; i < 100; ++i) b->arrive_and_wait(0);  // must not hang
   }
@@ -92,8 +90,6 @@ TEST(Barrier, SingleThreadIsNoOp) {
 
 TEST(Barrier, KindNames) {
   EXPECT_EQ(to_string(BarrierKind::kCentral), "central");
-  EXPECT_EQ(to_string(BarrierKind::kTree), "tree");
-  EXPECT_EQ(to_string(BarrierKind::kDissemination), "dissemination");
   EXPECT_EQ(to_string(BarrierKind::kHierarchical), "hierarchical");
   EXPECT_EQ(to_string(BarrierKind::kAuto), "auto");
 }
@@ -102,78 +98,52 @@ TEST(Barrier, ParseKindRoundTrips) {
   BarrierKind k;
   ASSERT_TRUE(parse_barrier_kind("central", &k));
   EXPECT_EQ(k, BarrierKind::kCentral);
-  ASSERT_TRUE(parse_barrier_kind("tree", &k));
-  EXPECT_EQ(k, BarrierKind::kTree);
-  ASSERT_TRUE(parse_barrier_kind("dissemination", &k));
-  EXPECT_EQ(k, BarrierKind::kDissemination);
   ASSERT_TRUE(parse_barrier_kind("hier", &k));
   EXPECT_EQ(k, BarrierKind::kHierarchical);
   ASSERT_TRUE(parse_barrier_kind("hierarchical", &k));
   EXPECT_EQ(k, BarrierKind::kHierarchical);
   ASSERT_TRUE(parse_barrier_kind("auto", &k));
   EXPECT_EQ(k, BarrierKind::kAuto);
+  EXPECT_FALSE(parse_barrier_kind("tree", &k));
+  EXPECT_FALSE(parse_barrier_kind("dissemination", &k));
   EXPECT_FALSE(parse_barrier_kind("bogus", &k));
   EXPECT_FALSE(parse_barrier_kind("", &k));
-}
-
-TEST(TreeBarrier, ArityMatchesClusterWidth) {
-  EXPECT_EQ(TreeBarrier::kArity, 4u);
-}
-
-// Dissemination is inherently flag-spinning; a passive-policy request must
-// get a blockable algorithm (the tree barrier) instead of a silent spin.
-TEST(Barrier, PassiveDisseminationFallsBackToTree) {
-  EXPECT_EQ(
-      effective_barrier_kind(BarrierKind::kDissemination, WaitPolicy::kPassive),
-      BarrierKind::kTree);
-  EXPECT_EQ(
-      effective_barrier_kind(BarrierKind::kDissemination, WaitPolicy::kActive),
-      BarrierKind::kDissemination);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kCentral, WaitPolicy::kPassive),
-            BarrierKind::kCentral);
-
-  auto passive =
-      make_barrier(BarrierKind::kDissemination, 4, WaitPolicy::kPassive);
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(passive.get()), nullptr);
-  auto active =
-      make_barrier(BarrierKind::kDissemination, 4, WaitPolicy::kActive);
-  EXPECT_NE(dynamic_cast<DisseminationBarrier*>(active.get()), nullptr);
 }
 
 // kAuto is a request-only value: it resolves to hierarchical exactly when
 // the team spans more than one cluster, and never survives resolution.
 TEST(Barrier, AutoResolvesByClusterSpan) {
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kPassive, 3),
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, 3),
             BarrierKind::kHierarchical);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kActive, 2),
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, 2),
             BarrierKind::kHierarchical);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kPassive, 1),
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, 1),
             BarrierKind::kCentral);
-  // The 2-arg convenience overload assumes a single cluster.
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kActive),
+  // The cluster span defaults to a single cluster.
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto), BarrierKind::kCentral);
+  // An explicit central request stays central on any span.
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kCentral, 3),
             BarrierKind::kCentral);
 }
 
 // A hierarchical request on a single-cluster team (e.g. Topology::generic()
-// places everything in cluster 0) must collapse to the flat tree: two tiers
-// with a top width of one would be pure overhead.
-TEST(Barrier, HierarchicalCollapsesToTreeOnSingleCluster) {
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical,
-                                   WaitPolicy::kPassive, 1),
-            BarrierKind::kTree);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical,
-                                   WaitPolicy::kActive, 2),
+// places everything in cluster 0) must collapse to the central barrier: two
+// tiers with a top width of one would be pure overhead.
+TEST(Barrier, HierarchicalCollapsesToCentralOnSingleCluster) {
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical, 1),
+            BarrierKind::kCentral);
+  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical, 2),
             BarrierKind::kHierarchical);
 
   const std::vector<unsigned> one_cluster(8, 5u);  // all on hw cluster 5
   auto collapsed = make_barrier(BarrierKind::kHierarchical, 8,
                                 WaitPolicy::kPassive, one_cluster.data());
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(collapsed.get()), nullptr);
+  EXPECT_NE(dynamic_cast<CentralBarrier*>(collapsed.get()), nullptr);
 
   // nullptr map means "single cluster" by contract.
   auto no_map =
       make_barrier(BarrierKind::kHierarchical, 8, WaitPolicy::kPassive);
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(no_map.get()), nullptr);
+  EXPECT_NE(dynamic_cast<CentralBarrier*>(no_map.get()), nullptr);
 
   const std::vector<unsigned> two_clusters{0, 1, 0, 1};
   auto real = make_barrier(BarrierKind::kHierarchical, 4, WaitPolicy::kPassive,

@@ -2,20 +2,19 @@
 // the paper's §5B wiring, checked end to end through the public MRAPI API.
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "gomp/gomp.hpp"
 #include "mrapi/database.hpp"
 
 namespace ompmca::gomp {
 namespace {
 
-Runtime make_mca_runtime(unsigned threads, PoolMode mode) {
+Runtime make_mca_runtime(unsigned threads, bool nested = false) {
   RuntimeOptions opts;
   opts.backend = BackendKind::kMca;
-  opts.pool_mode = mode;
   Icvs icvs;
   icvs.num_threads = threads;
+  icvs.nested = nested;
+  icvs.max_active_levels = nested ? 2 : 1;
   opts.icvs = icvs;
   return Runtime(opts);
 }
@@ -28,7 +27,7 @@ std::size_t domain_node_count() {
 TEST(McaIntegration, PersistentPoolKeepsWorkerNodesRegistered) {
   std::size_t before = domain_node_count();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPersistent);
+    Runtime rt = make_mca_runtime(4);
     // +1: the runtime's master node.
     EXPECT_EQ(domain_node_count(), before + 1);
     rt.parallel([](ParallelContext&) {});
@@ -41,20 +40,30 @@ TEST(McaIntegration, PersistentPoolKeepsWorkerNodesRegistered) {
   EXPECT_EQ(domain_node_count(), before);
 }
 
-TEST(McaIntegration, PerRegionModeRegistersAndRetiresPerRegion) {
+// §5B.1's literal lifecycle — a node created at fork, finalized at join —
+// is the nested team's: its workers are MRAPI nodes that exist only for the
+// inner region.
+TEST(McaIntegration, NestedTeamRegistersAndRetiresPerRegion) {
   std::size_t before = domain_node_count();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPerRegion);
-    std::atomic<std::size_t> inside{0};
-    rt.parallel([&](ParallelContext& ctx) {
-      ctx.master([&] { inside.store(domain_node_count()); });
-      ctx.barrier();
+    Runtime rt = make_mca_runtime(2, /*nested=*/true);
+    rt.parallel([&](ParallelContext& outer) {
+      if (outer.thread_num() != 0) return;
+      for (int r = 0; r < 2; ++r) {
+        std::size_t inside = 0;
+        rt.parallel(
+            [&](ParallelContext& inner) {
+              inner.master([&] { inside = domain_node_count(); });
+              inner.barrier();
+            },
+            4);
+        // Master + 1 pool worker + 3 nested workers inside the inner
+        // region; the nested workers' nodes are gone after its join.
+        EXPECT_EQ(inside, before + 5);
+        EXPECT_EQ(domain_node_count(), before + 2);
+      }
     });
-    // During the region: master + 3 per-region worker nodes (§5B.1's
-    // literal lifecycle).
-    EXPECT_EQ(inside.load(), before + 4);
-    // After the join the workers' nodes are finalized.
-    EXPECT_EQ(domain_node_count(), before + 1);
+    EXPECT_EQ(domain_node_count(), before + 2);
   }
   EXPECT_EQ(domain_node_count(), before);
 }
@@ -64,7 +73,7 @@ TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
   ASSERT_TRUE(d.has_value());
   std::size_t arena_before = (*d)->arena().used();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPersistent);
+    Runtime rt = make_mca_runtime(4);
     long sink = 0;
     rt.parallel([&](ParallelContext& ctx) {
       ctx.critical([&] { ++sink; });  // forces an MRAPI mutex creation
@@ -77,7 +86,7 @@ TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
 }
 
 TEST(McaIntegration, MasterNodeUsableForApplicationResources) {
-  Runtime rt = make_mca_runtime(2, PoolMode::kPersistent);
+  Runtime rt = make_mca_runtime(2);
   auto* mca = dynamic_cast<McaBackend*>(&rt.backend());
   ASSERT_NE(mca, nullptr);
   // Applications can share the runtime's domain for their own MRAPI use.

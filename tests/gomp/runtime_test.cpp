@@ -331,21 +331,9 @@ TEST_P(RuntimeBackendTest, MetersAccumulatePerThread) {
   }
 }
 
-TEST_P(RuntimeBackendTest, PerRegionPoolModeWorks) {
-  auto opts = options_for(GetParam(), 4);
-  opts.pool_mode = PoolMode::kPerRegion;
-  Runtime rt(opts);
-  for (int r = 0; r < 5; ++r) {
-    std::atomic<int> count{0};
-    rt.parallel([&](ParallelContext&) { count.fetch_add(1); });
-    ASSERT_EQ(count.load(), 4);
-  }
-}
-
 TEST_P(RuntimeBackendTest, AllBarrierAlgorithmsWorkEndToEnd) {
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical, BarrierKind::kAuto}) {
+  for (BarrierKind kind : {BarrierKind::kCentral, BarrierKind::kHierarchical,
+                           BarrierKind::kAuto}) {
     auto opts = options_for(GetParam(), 6);
     opts.barrier = kind;
     Runtime rt(opts);

@@ -265,14 +265,19 @@ TEST(Trace, SpanRecordsDuration) {
 
 TEST(Trace, ExportedJsonParsesAndRoundTripsEventCounts) {
   ScopedTrace scoped(Mode::kRing);
-  instant(Type::kBarrier, 0, 4);
+  // Barrier events carry the gomp::BarrierKind value; the exporter's name
+  // table must follow the enum.
+  instant(Type::kBarrier,
+          static_cast<std::uint64_t>(gomp::BarrierKind::kCentral), 4);
+  instant(Type::kBarrier,
+          static_cast<std::uint64_t>(gomp::BarrierKind::kHierarchical), 24);
   complete(Type::kFor, monotonic_nanos() - 1000, 1);
   instant(Type::kSteal, 3, 1);
   instant_at(Type::kForkRing, monotonic_nanos(), 42, 4);
   instant(Type::kWorkerWake, 42);
 
   const std::size_t snapshot_total = total_events(snapshot());
-  ASSERT_EQ(snapshot_total, 5u);
+  ASSERT_EQ(snapshot_total, 6u);
   const std::string json = chrome_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json;
   // Every recorded event surfaces as exactly one complete ("X") entry.
@@ -282,6 +287,7 @@ TEST(Trace, ExportedJsonParsesAndRoundTripsEventCounts) {
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"f\""), 1u);
   EXPECT_NE(json.find("\"name\":\"barrier\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"central\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"hierarchical\""), std::string::npos);
 }
 
 TEST(Trace, RealForkEmitsMatchingFlowEvents) {

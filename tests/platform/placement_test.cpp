@@ -89,19 +89,18 @@ TEST(Placement, SameClusterAgreesWithClusterIdsAcrossBoundaries) {
   EXPECT_TRUE(t.same_cluster(last_of_0, last_of_0));
 }
 
-TEST(Placement, GenericTopologyDegeneratesHierarchicalBarrierToTree) {
+TEST(Placement, GenericTopologyDegeneratesHierarchicalBarrierToCentral) {
   // Topology::generic() models a single-cluster SMP; a team shape built on
   // it spans one cluster no matter the width, so a hierarchical-barrier
-  // request must collapse to the flat arity-4 tree.
+  // request must collapse to the central barrier.
   Topology t = Topology::generic(4, 2);
   ASSERT_EQ(t.num_clusters(), 1u);
   TeamShape shape(t, 8, PlacementPolicy::kScatter);
   EXPECT_EQ(shape.clusters_spanned(), 1u);
 
   EXPECT_EQ(gomp::effective_barrier_kind(gomp::BarrierKind::kHierarchical,
-                                         gomp::WaitPolicy::kPassive,
                                          shape.clusters_spanned()),
-            gomp::BarrierKind::kTree);
+            gomp::BarrierKind::kCentral);
 
   std::vector<unsigned> cluster_of_thread(8);
   for (unsigned i = 0; i < 8; ++i) {
@@ -111,7 +110,7 @@ TEST(Placement, GenericTopologyDegeneratesHierarchicalBarrierToTree) {
   auto barrier =
       gomp::make_barrier(gomp::BarrierKind::kHierarchical, 8,
                          gomp::WaitPolicy::kPassive, cluster_of_thread.data());
-  EXPECT_NE(dynamic_cast<gomp::TreeBarrier*>(barrier.get()), nullptr);
+  EXPECT_NE(dynamic_cast<gomp::CentralBarrier*>(barrier.get()), nullptr);
   EXPECT_EQ(dynamic_cast<gomp::HierarchicalBarrier*>(barrier.get()), nullptr);
 }
 
